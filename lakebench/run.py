@@ -61,6 +61,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metrics, tally = runner(workload, args.seconds)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        try:
+            workdir.parent.rmdir()  # left alone while another run uses it
+        except OSError:
+            pass
     for failure in tally.failures[:20]:
         print(f"lakebench: FAILED {failure}", file=sys.stderr)
     failed = len(tally.failures)
