@@ -401,8 +401,8 @@ def serving_corpus(seed: int, shape: LakeShape) -> ServingCorpus:
         tables = lakegen_tables(sub_seed(seed, f"serving/{tenant}/lakegen"), shape)
         all_tables.extend(tables)
         datasets[tenant] = [(table.name, table, "table") for table in tables]
-        sql[tenant] = [_sql_oracle(table) for table in tables
-                       if table.name.startswith("fact_")]
+        sql[tenant] = _sql_oracles(
+            [table for table in tables if table.name.startswith("fact_")])
         fetch[tenant] = {table.name: {c.name: list(c.values) for c in table.columns}
                          for table in tables}
         for index in range(shape.json_collections):
@@ -418,16 +418,31 @@ def serving_corpus(seed: int, shape: LakeShape) -> ServingCorpus:
                          shape=shape)
 
 
-def _sql_oracle(table: Table) -> Tuple[str, int]:
-    """A filter at the median of the fact's metric column, and its row count.
+#: filter thresholds per fact table; with F facts a tenant has
+#: ``SQL_LEVELS * F`` queries whose selectivities are spread evenly over (0, 1)
+SQL_LEVELS = 5
 
-    The same selectivity on every table keeps SQL requests equally costly.
+
+def _sql_oracles(facts: Sequence[Table]) -> List[Tuple[str, int]]:
+    """Filters on each fact's metric column, and their row counts.
+
+    The queries return evenly spread shares of their table, half of it on
+    average.  Spread costs make SQL latencies continuous rather than one
+    spike, so the run's median moves smoothly with the host's speed
+    instead of jumping between a fast and a slow value.
     """
-    column = next(c for c in table.columns if c.name.startswith("metric_"))
-    threshold = sorted(column.values)[len(column.values) // 2]
-    oracle = sum(1 for value in column.values if value >= threshold)
-    return (f"SELECT * FROM {table.name} WHERE {column.name} >= {threshold!r}",
-            oracle)
+    slots = SQL_LEVELS * len(facts)
+    queries = []
+    for position, table in enumerate(facts):
+        column = next(c for c in table.columns if c.name.startswith("metric_"))
+        ordered = sorted(column.values)
+        for level in range(SQL_LEVELS):
+            share = (level * len(facts) + position + 0.5) / slots
+            threshold = ordered[int((1.0 - share) * len(ordered))]
+            oracle = sum(1 for value in column.values if value >= threshold)
+            queries.append((f"SELECT * FROM {table.name} "
+                            f"WHERE {column.name} >= {threshold!r}", oracle))
+    return queries
 
 
 def payload_copy(payload: Any) -> Any:
