@@ -4,8 +4,10 @@ DLBench-style scenario: 200 tables arrive one at a time while users keep
 querying the lake (keyword search every 5 ingests, join discovery every
 10).  Three maintenance strategies answer the same workload:
 
-- **inline full-rebuild** — the seed behavior: every ingest invalidates
-  the discovery and keyword indexes, every query rebuilds from scratch;
+- **inline full-rebuild** — the seed behavior, kept here as a bench-local
+  baseline (:class:`RebuildPerQuery`): every ingest invalidates the
+  discovery and keyword indexes, and the next query builds fresh ones
+  from all of ``lake.tables()``;
 - **incremental (sync, default)** — persistent indexes, per-table deltas
   applied inline at ingest;
 - **async** — maintenance enqueued on the background job runtime,
@@ -22,6 +24,8 @@ import pathlib
 import time
 
 from repro import DataLake
+from repro.discovery.aurum import Aurum
+from repro.exploration.keyword import KeywordSearch
 from repro.bench.reporting import render_table, report_experiment
 from repro.bench.results import envelope, write_bench_json
 from repro.obs import get_registry
@@ -46,6 +50,46 @@ def payload(i):
     }
 
 
+class RebuildPerQuery:
+    """The seed's rebuild-per-query maintenance around a default lake.
+
+    Ingest goes through the lake (placement, metadata, catalog); the
+    lake's own indexes are never queried, so its maintainer only marks
+    tables dirty.  The first query after an ingest builds a fresh
+    :class:`Aurum` or :class:`KeywordSearch` from ``lake.tables()``.
+    """
+
+    def __init__(self):
+        self.lake = DataLake()
+        self._aurum = None
+        self._keyword = None
+
+    def ingest_table(self, name, data, source=""):
+        self._aurum = self._keyword = None  # every ingest invalidates both
+        return self.lake.ingest_table(name, data, source=source)
+
+    def keyword_search(self, keywords, k=10):
+        if self._keyword is None:
+            self._keyword = KeywordSearch()
+            for table in self.lake.tables():
+                self._keyword.add_table(table)
+        return self._keyword.search(keywords, k=k)
+
+    def discover_joinable(self, table_name, column, k=5):
+        if self._aurum is None:
+            self._aurum = Aurum()
+            for table in self.lake.tables():
+                self._aurum.add_table(table)
+            self._aurum.build()
+        return self._aurum.joinable(table_name, column, k=k)
+
+    def drain(self):
+        return self.lake.drain()
+
+    def close(self):
+        self.lake.close()
+
+
 def run_workload(lake):
     """Interleave ingest with keyword + join-discovery queries; return seconds."""
     started = time.perf_counter()
@@ -62,8 +106,7 @@ def run_workload(lake):
 
 def run_all_modes():
     timings = {}
-    timings["inline_full_rebuild"] = run_workload(
-        DataLake(incremental_maintenance=False))
+    timings["inline_full_rebuild"] = run_workload(RebuildPerQuery())
     timings["incremental_sync"] = run_workload(DataLake())
     timings["async_runtime"] = run_workload(DataLake(async_maintenance=True))
     job_latency = get_registry().histogram("runtime.job_ms").summary()

@@ -7,8 +7,8 @@ answers two questions the per-file rules cannot:
    tracked lock (``threading.Lock``/``RLock``/``Condition`` attributes,
    module-level locks, the runtime :class:`ReadWriteLock` via
    ``.reading()``/``.writing()``, and guard-returning helpers like
-   ``DataLake._index_read``) is collected with the set of locks already
-   held at that point.  Acquisition effects propagate transitively along
+   ``IncrementalIndexMaintainer.reading``) is collected with the set of
+   locks already held at that point.  Acquisition effects propagate transitively along
    the call graph, producing a directed *lock-order graph*: an edge
    ``A → B`` means B is (possibly transitively) acquired while A is
    held.  A cycle in that graph is a potential deadlock; each edge
@@ -24,9 +24,6 @@ answers two questions the per-file rules cannot:
 
 Deliberate non-findings, matching how the repo's concurrency is designed:
 
-- ``Semaphore``/``BoundedSemaphore`` are **not** tracked locks: the
-  parallel executor's slot semaphore is *meant* to be held across
-  ``pool.submit``/``future.result`` (it is the concurrency budget).
 - Re-entrant kinds (``RLock``, default ``Condition``) do not self-edge:
   ``engine() → refresh()`` re-entering ``self._lock`` is the design.
   A plain ``Lock`` or ReadWriteLock self-edge *is* reported

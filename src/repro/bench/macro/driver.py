@@ -353,14 +353,14 @@ def _answer(lake: DataLake, query: Tuple[str, ...]) -> Any:
 def _verify_against_reference(lake: DataLake, scenario: Scenario,
                               corpus: Corpus,
                               ingested_extras: Sequence[int]) -> Dict[str, Any]:
-    """Replay a fixed query set on the lake and a fresh serial reference.
+    """Replay a fixed query set on the lake and a fresh uncached reference.
 
     The reference ingests an independently generated but seed-identical
-    corpus (plus the extras the run committed) with ``parallelism=1,
-    cache=False`` — the PR-5 ground truth path.  Discovery is
+    corpus (plus the extras the run committed) with ``cache=False`` and
+    sync maintenance — the ground-truth path.  Discovery is
     partition-invariant, so answers must match element for element.
     """
-    reference = DataLake(parallelism=1, cache=False, profile=False)
+    reference = DataLake(cache=False, profile=False)
     try:
         for dataset in build_corpus(scenario).datasets:
             reference.ingest(dataset)
@@ -614,7 +614,6 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     schedule = build_schedule(scenario, corpus)
     polystore = build_polystore(scenario.fault_rate, scenario.seed)
     lake = DataLake(polystore=polystore,
-                    parallelism=scenario.parallelism,
                     cache=scenario.cache,
                     async_maintenance=scenario.async_maintenance,
                     profile=False)

@@ -1,4 +1,4 @@
-"""Shared workload for the parallel-discovery / query-cache benchmark.
+"""Shared workload for the query-cache benchmark.
 
 One seeded scenario: a 200-table generated lake (entity pools with
 joinable dimension/fact structure) answering a repeated mixed discovery
@@ -6,14 +6,14 @@ workload — related / union / joinable / keyword — issued through
 ``DataLake.discover_batch``.  Two configurations run the *identical*
 query stream:
 
-- **serial baseline** — ``parallelism=1, cache=False``: every round
-  recomputes every answer from the indexes;
-- **parallel + cache** — ``parallelism=8, cache=True``: the first round
-  fans out and populates the cache, later rounds are epoch-checked hits.
+- **uncached** — ``cache=False``: every round recomputes every answer
+  from the indexes;
+- **cached** — ``cache=True`` (the default lake): the first round
+  computes and populates the cache, later rounds are epoch-checked hits.
 
 The report carries wall-clock seconds per configuration, the speedup
-ratio, cache statistics, and a sample-equality check (the parallel
-answers must equal the serial ones — the equivalence suite proves it
+ratio, cache statistics, and a sample-equality check (the cached
+answers must equal the uncached ones — the equivalence suite proves it
 exhaustively; the bench re-asserts it on the measured stream so the
 artifact can't describe two different workloads).
 
@@ -37,7 +37,6 @@ TABLES_PER_POOL = 4  # 40 * (1 dim + 4 facts) = 200 tables
 ROWS_PER_TABLE = 30
 POOL_SIZE = 60
 ROUNDS = 4
-WORKERS = 8
 
 
 def build_workload(seed: int = SEED):
@@ -86,43 +85,38 @@ def build_artifact(report: Dict[str, Any]) -> Dict[str, Any]:
 
     payload = dict(report)
     seed = payload.pop("seed")
-    return envelope("repro.exploration/bench-parallel-v1", payload, seed=seed,
+    return envelope("repro.exploration/bench-parallel-v2", payload, seed=seed,
                     gates={"answers_equal": payload["answers_equal"]})
 
 
-def run_bench(seed: int = SEED, rounds: int = ROUNDS,
-              workers: int = WORKERS) -> Dict[str, Any]:
+def run_bench(seed: int = SEED, rounds: int = ROUNDS) -> Dict[str, Any]:
     workload = build_workload(seed)
     queries = build_queries(workload, seed)
 
-    serial = _ingest(DataLake(parallelism=1, cache=False), workload)
-    parallel = _ingest(DataLake(parallelism=workers, cache=True), workload)
+    uncached = _ingest(DataLake(cache=False), workload)
+    cached = _ingest(DataLake(cache=True), workload)
 
     # warm the *indexes* (not the query cache) outside the timed window so
     # both configurations measure query answering, not one-time index builds
-    for lake in (serial, parallel):
+    for lake in (uncached, cached):
         lake.discovery.build()
         lake.keyword_search("label")
 
-    serial_seconds, serial_answers = _run_rounds(serial, queries, rounds)
-    parallel_seconds, parallel_answers = _run_rounds(parallel, queries, rounds)
-    parallel.executor.close()
+    uncached_seconds, uncached_answers = _run_rounds(uncached, queries, rounds)
+    cached_seconds, cached_answers = _run_rounds(cached, queries, rounds)
 
-    cache_stats = parallel.query_cache.stats()
     report: Dict[str, Any] = {
         "seed": seed,
         "tables": len(workload.tables),
         "rounds": rounds,
         "queries_per_round": len(queries),
-        "workers": workers,
-        "serial": {"seconds": round(serial_seconds, 4)},
-        "parallel": {
-            "seconds": round(parallel_seconds, 4),
-            "cache": cache_stats,
-            "executor": parallel.executor.stats(),
+        "uncached": {"seconds": round(uncached_seconds, 4)},
+        "cached": {
+            "seconds": round(cached_seconds, 4),
+            "cache": cached.query_cache.stats(),
         },
-        "speedup": round(serial_seconds / parallel_seconds, 2)
-        if parallel_seconds else float("inf"),
-        "answers_equal": parallel_answers == serial_answers,
+        "speedup": round(uncached_seconds / cached_seconds, 2)
+        if cached_seconds else float("inf"),
+        "answers_equal": cached_answers == uncached_answers,
     }
     return report

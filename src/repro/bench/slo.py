@@ -4,8 +4,8 @@ Two measurements, both reused by ``benchmarks/test_bench_slo.py`` and
 the ``slo-report`` / ``profile-report`` build tasks so every entry point
 runs the identical scenario:
 
-- **profiler overhead** — the repeated parallel discovery stream from
-  the parallel bench (smaller lake, same query mix) run under the
+- **profiler overhead** — the repeated discovery stream from the
+  query-cache bench (smaller lake, same query mix) run under the
   sampling profiler.  The asserted number is the sampler's self-metered
   **duty cycle** (time inside ticks over wall time sampled), which on a
   single core is exactly the wall-clock share stolen from the workload;
@@ -71,7 +71,7 @@ def _build_profile_lake(seed: int) -> Tuple[DataLake, List[tuple]]:
         rows_per_table=PROFILE_ROWS, pool_size=PROFILE_ROWS * 2)
     # cache off: every round recomputes, so the timed stream is real
     # discovery work the sampler can actually observe, not 2ms of hits
-    lake = DataLake(parallelism=4, cache=False, profile=False)
+    lake = DataLake(cache=False, profile=False)
     for table in workload.tables:
         lake.ingest(Dataset(name=table.name, payload=table, format="table"))
     names = [table.name for table in workload.tables]

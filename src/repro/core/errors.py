@@ -91,9 +91,10 @@ class ProvenanceError(DataLakeError):
 class DeadlineExceeded(DataLakeError):
     """The active :class:`~repro.obs.context.RequestContext` deadline passed.
 
-    Raised by the deadline checkpoints (``DataLake._cached`` entry, the
-    parallel executor's fan-out loop) so a per-request timeout actually
-    cuts discovery work short instead of merely being carried along.
+    Raised by the deadline checkpoints (the serving dispatcher and the
+    ``DataLake._cached`` entry every discovery query passes) so a
+    per-request timeout actually cuts discovery work short instead of
+    merely being carried along.
     """
 
 

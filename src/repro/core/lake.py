@@ -31,33 +31,24 @@ from repro.obs import (Observability, check_deadline, emit, ensure_profiler,
 class DataLake:
     """A complete data lake: storage + ingestion + maintenance + exploration.
 
-    Maintenance runs in one of three modes (see docs/RUNTIME.md):
+    Discovery indexes are persistent structures updated with per-table
+    deltas, never thrown away and rebuilt.  The one maintenance choice is
+    *when* that work runs (see docs/RUNTIME.md):
 
-    - **sync incremental** (the default): maintenance work happens inline
-      during ``ingest`` exactly as before, but discovery indexes are kept
-      as persistent structures updated with per-table deltas instead of
-      being thrown away and rebuilt;
-    - **sync full** (``incremental_maintenance=False``): the seed
-      behavior — every ingest invalidates the indexes, every index access
-      rebuilds from scratch (kept as the benchmark baseline);
-    - **async** (``async_maintenance=True``): ingest enqueues metadata
-      extraction, catalog registration and index-delta jobs on a
-      :class:`~repro.runtime.scheduler.JobScheduler` and returns
+    - **sync** (the default): metadata extraction, catalog registration
+      and the index delta happen inline during ``ingest``;
+    - **async** (``async_maintenance=True``): ingest enqueues them as jobs
+      on a :class:`~repro.runtime.scheduler.JobScheduler` and returns
       immediately — built for bulk loads; call :meth:`drain` (or any
       exploration query, which quiesces first) to reach a consistent view.
 
-    Exploration runs through two orthogonal knobs (see docs/EXPLORATION.md):
-
-    - ``parallelism=`` — discovery fan-out width.  ``1`` (the default)
-      keeps every query strictly serial; higher values shard candidate
-      tables and batched queries across a bounded
-      :class:`~repro.exploration.parallel.ParallelDiscoveryExecutor`
-      whose merged output is element-for-element identical to serial;
-    - ``cache=`` — the lake-wide
-      :class:`~repro.exploration.parallel.QueryCache`.  ``True`` (the
-      default) memoizes discovery/keyword answers keyed by (engine,
-      normalized query, index epoch); an ``int`` bounds ``max_entries``;
-      ``False``/``None`` disables; a ``QueryCache`` instance is shared.
+    Every discovery query runs serially on the calling thread down one
+    path (see docs/EXPLORATION.md); ``cache=`` configures the lake-wide
+    :class:`~repro.exploration.parallel.QueryCache` in front of it.
+    ``True`` (the default) memoizes discovery/keyword answers keyed by
+    (engine, normalized query, index epoch); an ``int`` bounds
+    ``max_entries``; ``False``/``None`` disables; a ``QueryCache``
+    instance is shared.
 
     Observability (see docs/OBSERVABILITY.md): ``slos=`` takes a sequence
     of :class:`~repro.obs.slo.SLO` objectives, evaluated over this lake's
@@ -71,40 +62,30 @@ class DataLake:
         registry: Optional[SystemRegistry] = None,
         *,
         async_maintenance: bool = False,
-        incremental_maintenance: bool = True,
         maintenance_workers: int = 4,
         maintenance_queue_size: int = 256,
         polystore: Optional["Polystore"] = None,
-        parallelism: int = 1,
         cache: Any = True,
         slos: Optional[Sequence[Any]] = None,
         profile: bool = True,
     ):
-        from repro.exploration.parallel import (EpochClock,
-                                                ParallelDiscoveryExecutor,
-                                                QueryCache)
+        from repro.exploration.parallel import EpochClock, QueryCache
         from repro.storage.polystore import Polystore
 
         self.polystore = polystore if polystore is not None else Polystore()
         self.registry = registry or default_registry()
         self.async_maintenance = async_maintenance
-        self.incremental_maintenance = incremental_maintenance
         self._maintenance_workers = maintenance_workers
         self._maintenance_queue_size = maintenance_queue_size
         self._datasets: Dict[str, Dataset] = {}
         self._catalog = None
         self._provenance = None
-        self._discovery_index = None
-        self._keyword_index = None
         self._metadata_repository = None
         self._runtime = None
         self._maintainer = None
         self._index_refresh_pending = False  # coalesces async refresh jobs
         self._index_flag_lock = threading.Lock()
-        self.parallelism = max(1, parallelism)
         self._epochs = EpochClock()
-        self._executor = ParallelDiscoveryExecutor(
-            workers=self.parallelism, health=self.polystore.health)
         if isinstance(cache, QueryCache):
             self._query_cache: Optional[QueryCache] = cache
         elif isinstance(cache, bool):
@@ -216,11 +197,6 @@ class DataLake:
         """The lake-wide query cache, or ``None`` when disabled."""
         return self._query_cache
 
-    @property
-    def executor(self):
-        """The parallel discovery executor (serial degradation included)."""
-        return self._executor
-
     def _bump_engine_epochs(self, table_name: str) -> None:
         """A tabular change invalidates all three discovery engines."""
         self._epochs.bump("aurum", "keyword", "union")
@@ -265,18 +241,6 @@ class DataLake:
             self.provenance.record_ingest(dataset.name, source=dataset.source)
 
     def _note_index_change(self, dataset: Dataset) -> None:
-        if not self.incremental_maintenance:
-            # seed behavior: throw the indexes away, rebuild lazily on access
-            self._discovery_index = None
-            self._keyword_index = None
-            try:
-                dataset.as_table()
-            except SchemaError:
-                get_registry().counter("lake.index.skipped_nontabular").inc()
-                return
-            # tabular content changed: cached answers must stop matching
-            self._bump_engine_epochs(dataset.name)
-            return
         try:
             table = dataset.as_table()
         except SchemaError:
@@ -304,8 +268,7 @@ class DataLake:
             tags={"dataset": dataset.name},
         )
         self._note_index_change(dataset)  # the dirty mark itself is cheap
-        if self.incremental_maintenance:
-            self._submit_index_refresh()
+        self._submit_index_refresh()
 
     def _submit_index_refresh(self) -> None:
         """Enqueue one index-delta job; pending refreshes coalesce."""
@@ -343,11 +306,10 @@ class DataLake:
         return self._runtime.drain(timeout)
 
     def close(self) -> None:
-        """Drain and stop the maintenance runtime and the discovery pool."""
+        """Drain and stop the maintenance runtime; detach the SLO engine."""
         if self._runtime is not None:
             self._runtime.drain()
             self._runtime.close()
-        self._executor.close()
         if self._slo_engine is not None:
             self._slo_engine.detach()
 
@@ -416,27 +378,9 @@ class DataLake:
 
     @property
     def discovery(self):
-        """The Aurum discovery engine, current as of this access.
-
-        Incremental mode returns the maintainer's persistent engine with
-        pending deltas applied; full mode lazily rebuilds from scratch
-        after every invalidating ingest (the seed behavior).
-        """
-        if self.incremental_maintenance:
-            self._quiesce()
-            return self.maintainer.engine()
-        if self._discovery_index is None:
-            from repro.discovery.aurum import Aurum
-
-            with get_recorder().span("maintenance.discovery.index_build",
-                                     tier="maintenance", system="Aurum",
-                                     function="related_dataset_discovery"):
-                engine = Aurum()
-                for table in self.tables():
-                    engine.add_table(table)
-                engine.build()
-            self._discovery_index = engine
-        return self._discovery_index
+        """The maintainer's persistent Aurum engine, pending deltas applied."""
+        self._quiesce()
+        return self.maintainer.engine()
 
     def _union_search(self):
         """The lake's union-search index, rebuilt only when its epoch moves.
@@ -484,91 +428,22 @@ class DataLake:
         return cache.fetch(query.engine, query.key(),
                            self._epochs.epoch(query.engine), compute)
 
-    def _index_read(self):
-        """Shared-side index guard for the duration of one engine query."""
-        from contextlib import nullcontext
-
-        if self.incremental_maintenance:
-            return self.maintainer.reading()
-        return nullcontext()
-
     def _run_discovery_uncached(self, query):
-        if query.kind == "joinable":
-            engine = self.discovery
-            with self._index_read():
-                return engine.joinable(query.table, query.column, k=query.k)
-        if query.kind == "related":
-            return self._related_uncached(query)
+        if query.kind == "union":
+            index = self._union_search()
+            return index.top_k(self.table(query.table), k=query.k,
+                               min_score=query.min_score)
+        # the maintained engines mutate in place on refresh: hold the
+        # shared side while traversing them
         if query.kind == "keyword":
-            return self._keyword_uncached(query)
-        return self._union_uncached(query)
-
-    def _related_uncached(self, query):
-        engine = self.discovery
-        candidates = [name for name in engine.table_names()
-                      if name != query.table]
-        with self._index_read():
-            if self.parallelism <= 1 or len(candidates) <= 1:
-                return engine.related_tables(query.table, k=query.k)
-            engine.build()  # no-op unless the lake is brand new
-            partials = self._executor.run_sharded(
-                candidates,
-                lambda names: [engine.related_scores(query.table, names)],
-                label="related")
-        scores: Dict[str, float] = {}
-        for partial in partials:
-            scores.update(partial)  # shards cover disjoint candidates
-        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:query.k]
-
-    def _keyword_uncached(self, query):
-        from repro.exploration.keyword import KeywordSearch
-
-        searcher = self._keyword_searcher()
-        with self._index_read():
-            names = searcher.table_names()
-            if self.parallelism <= 1 or len(names) <= 1:
+            searcher = self._keyword_searcher()
+            with self.maintainer.reading():
                 return searcher.search(query.keywords, k=query.k)
-            partials = self._executor.run_sharded(
-                names,
-                lambda chunk: [searcher.score_tables(query.keywords, chunk)],
-                label="keyword")
-        scores: Dict[str, float] = {}
-        schema_matches: Dict[str, Any] = {}
-        value_matches: Dict[str, Any] = {}
-        for chunk_scores, chunk_schema, chunk_values in partials:
-            scores.update(chunk_scores)
-            schema_matches.update(chunk_schema)
-            value_matches.update(chunk_values)
-        return KeywordSearch.rank(scores, schema_matches, value_matches, query.k)
-
-    def _union_uncached(self, query):
-        index = self._union_search()
-        query_table = self.table(query.table)
-        names = index.tables()
-        if self.parallelism <= 1 or len(names) <= 1:
-            return index.top_k(query_table, k=query.k, min_score=query.min_score)
-        scored = self._executor.run_sharded(
-            names,
-            lambda chunk: index.score_candidates(query_table, chunk,
-                                                 min_score=query.min_score),
-            label="union")
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:query.k]
-
-    def _warm_engines_uncached(self, queries) -> None:
-        """Materialize every needed index serially before a batch fan-out.
-
-        Index (re)builds are not safe to race from pool workers; warming on
-        the caller thread means workers only ever *read* current engines.
-        """
-        engines = {query.engine for query in queries}
-        if "aurum" in engines:
-            self.discovery.build()
-        if "keyword" in engines:
-            self._keyword_searcher()
-        if "union" in engines:
-            self._union_search()
+        engine = self.discovery
+        with self.maintainer.reading():
+            if query.kind == "joinable":
+                return engine.joinable(query.table, query.column, k=query.k)
+            return engine.related_tables(query.table, k=query.k)
 
     @traced("exploration.lake.discover_joinable", tier="exploration",
             function="query_driven_discovery")
@@ -603,28 +478,19 @@ class DataLake:
     @traced("exploration.lake.discover_batch", tier="exploration",
             function="query_driven_discovery")
     def discover_batch(self, queries: Sequence[Any]) -> List[Any]:
-        """Run many discovery queries at once; results align with *queries*.
+        """Run many discovery queries in order; results align with *queries*.
 
         Each element is a :class:`~repro.exploration.parallel.DiscoveryQuery`,
         a mapping of its fields, or a tuple like ``("joinable", table,
-        column)`` / ``("keyword", "text")``.  Queries are sharded across
-        the lake's executor (each still individually served from the
-        query cache), so repeated and mixed workloads overlap; output
-        order always matches input order.
+        column)`` / ``("keyword", "text")``.  Every spec is validated before
+        any query runs; each query is then answered through the query
+        cache exactly as its single-query method would answer it.
         """
         from repro.exploration.parallel import as_query
 
         specs = [as_query(spec) for spec in queries]
-        if not specs:
-            return []
-        self._warm_engines_uncached(specs)
-        return self._executor.run_sharded(
-            specs,
-            lambda chunk: [
-                self._cached(q, lambda q=q: self._run_discovery_uncached(q))
-                for q in chunk
-            ],
-            label="batch")
+        return [self._cached(q, lambda q=q: self._run_discovery_uncached(q))
+                for q in specs]
 
     # -- exploration tier --------------------------------------------------------------
 
@@ -648,22 +514,9 @@ class DataLake:
         return self._cached(query, lambda: self._run_discovery_uncached(query))
 
     def _keyword_searcher(self):
-        """The lake's keyword index — persistent, never rebuilt per query.
-
-        Incremental mode shares the maintainer's delta-maintained index;
-        full mode caches a searcher that ingest invalidates.
-        """
-        if self.incremental_maintenance:
-            self._quiesce()
-            return self.maintainer.searcher()
-        if self._keyword_index is None:
-            from repro.exploration.keyword import KeywordSearch
-
-            searcher = KeywordSearch()
-            for table in self.tables():
-                searcher.add_table(table)
-            self._keyword_index = searcher
-        return self._keyword_index
+        """The maintainer's persistent keyword index, pending deltas applied."""
+        self._quiesce()
+        return self.maintainer.searcher()
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -798,8 +651,6 @@ class DataLake:
         if self._runtime is not None:
             report["maintenance_jobs"] = self._runtime.stats()
         report["exploration"] = {
-            "parallelism": self.parallelism,
-            "executor": self._executor.stats(),
             "cache": (self._query_cache.stats()
                       if self._query_cache is not None else None),
             "epochs": self._epochs.snapshot(),

@@ -490,10 +490,10 @@ class TestCacheEpoch:
 
     def test_out_of_scope_files_ignored(self, tmp_path):
         # engine modules call their own query methods by design
-        _tree(tmp_path, {"repro/discovery/aurum.py": """
-            class Aurum:
-                def related_tables(self, table, k=5):
-                    return self.related_scores(table)
+        _tree(tmp_path, {"repro/discovery/table_union.py": """
+            class TableUnionSearch:
+                def best_match(self, query):
+                    return self.top_k(query, k=1)
         """})
         assert _run(CacheEpochRule(), tmp_path) == []
 
@@ -631,12 +631,13 @@ class TestContextPropagation:
         """, rel="repro/storage/mover.py")
         assert findings == []
 
-    def test_exploration_parallel_is_in_scope(self, tmp_path):
+    def test_exploration_parallel_is_out_of_scope(self, tmp_path):
+        # discovery spawns no threads: the serving and scheduler pools do
         findings = self._findings(tmp_path, """
             def fan_out(pool, work):
                 return pool.submit(work)
         """, rel="repro/exploration/parallel.py")
-        assert len(findings) == 1
+        assert findings == []
 
 
 class TestServingContext:

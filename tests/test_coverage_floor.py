@@ -1,4 +1,4 @@
-"""Tier-1 coverage floors for parallel discovery, obs core, and serving.
+"""Tier-1 coverage floors for the query cache, obs core, and serving.
 
 Runs the repo's dependency-free coverage task (``tools/coverage_task.py``,
 stdlib settrace backend) over the fast unit suites and holds
@@ -6,7 +6,7 @@ stdlib settrace backend) over the fast unit suites and holds
 (context, events, profiler, SLO), and the serving tier (auth, quotas,
 server) to a line-coverage floor.  The suites measure 95%+ today; the
 floor leaves margin so refactors don't flap, while still catching a
-dead degradation branch or an untested knob.
+dead branch or an untested knob.
 """
 
 import json

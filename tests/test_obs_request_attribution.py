@@ -1,10 +1,9 @@
 """Zero-orphan attribution: every span carries the originating request id.
 
 The acceptance property for the context layer: run a DataLake through
-ingest + the full discovery surface in each execution mode — sync,
-async-maintenance (scheduler worker threads), and parallel discovery
-(executor pool threads) — and *no* recorded span may be missing its
-``request_id``.  Scheduler job spans must additionally carry the exact
+ingest + the full discovery surface in each execution mode — sync
+(uncached) and async-maintenance (scheduler worker threads, cached
+discovery) — and *no* recorded span may be missing its ``request_id``.  Scheduler job spans must additionally carry the exact
 request id of the ingest call that enqueued them, which proves the
 context crossed the thread boundary rather than being re-minted.
 """
@@ -57,15 +56,13 @@ def _workload(seed):
         num_pools=2, tables_per_pool=2, rows_per_table=30, pool_size=40)
 
 
-MODES = ("sync", "async", "parallel")
+MODES = ("sync", "async")
 
 
 def _build(mode):
     if mode == "sync":
-        return DataLake(parallelism=1, cache=False)
-    if mode == "async":
-        return DataLake(async_maintenance=True)
-    return DataLake(parallelism=4, cache=True)
+        return DataLake(cache=False)
+    return DataLake(async_maintenance=True)
 
 
 @settings(max_examples=4, deadline=None,
@@ -103,28 +100,6 @@ def test_scheduler_jobs_inherit_the_submitting_request(workload):
                 f"not one of its submitters")
     finally:
         lake.close()
-
-
-def test_parallel_pool_threads_inherit_the_query_request(workload):
-    lake = DataLake(parallelism=4, cache=True)
-    try:
-        for table in workload.tables:
-            lake.ingest(Dataset(name=table.name, payload=table, format="table"))
-        name = workload.tables[0].name
-        with request_context() as ctx:
-            lake.discover_related(name, k=3)
-        related = [span for span in _all_spans()
-                   if span.name == "exploration.lake.discover_related"]
-        assert related
-        assert {span.request_id for span in related} == {ctx.request_id}
-        # cache events raised on this query belong to the same request
-        cache_events = [event for event in get_event_log().events()
-                        if event.kind.startswith("cache.")]
-        assert cache_events
-        assert {event.request_id for event in cache_events} >= {ctx.request_id}
-    finally:
-        lake.close()
-    _assert_no_orphans()
 
 
 def test_explicit_tenant_rides_into_span_tags(workload):
